@@ -118,11 +118,6 @@ int main(int argc, char** argv) {
 #ifndef NDEBUG
   std::printf("# NOTE: assert-enabled (Debug) build — compare like with like\n");
 #endif
-  // Pin the scheduler explicitly so the row labels are truthful regardless
-  // of build/env defaults: unsuffixed rows = calendar queue, *_heap rows =
-  // the reference 4-ary heap.
-  iolsim::EventQueue::Impl saved_impl = iolsim::EventQueue::default_impl();
-  iolsim::EventQueue::set_default_impl(iolsim::EventQueue::Impl::kCalendar);
   Report(&json, "engine_ring", RunRing(ring_steps));
   Report(&json, "macro_flash_tiny", RunMacro(ServerKind::kFlash, 64, macro_requests));
   Report(&json, "macro_flash", RunMacro(ServerKind::kFlash, 1024, macro_requests));
@@ -131,17 +126,5 @@ int main(int argc, char** argv) {
   Report(&json, "macro_lite_50k",
          RunMacro(ServerKind::kFlashLite, 50 * 1024, seg_requests,
                   /*persistent=*/false, /*clients=*/40));
-
-  // Scheduler contrast: the same rows on the reference 4-ary heap. The
-  // unsuffixed rows above run the default calendar queue, so the *_heap
-  // deltas are the O(1)-vs-O(log n) scheduler cost in isolation —
-  // everything else about the engine is identical.
-  iolsim::EventQueue::set_default_impl(iolsim::EventQueue::Impl::kHeap);
-  Report(&json, "engine_ring_heap", RunRing(ring_steps));
-  Report(&json, "macro_flash_heap", RunMacro(ServerKind::kFlash, 1024, macro_requests));
-  Report(&json, "macro_lite_50k_heap",
-         RunMacro(ServerKind::kFlashLite, 50 * 1024, seg_requests,
-                  /*persistent=*/false, /*clients=*/40));
-  iolsim::EventQueue::set_default_impl(saved_impl);
   return json.Flush() ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/httpd/driver.h"
 #include "src/httpd/http_server.h"
 #include "src/system/system.h"
 #include "src/workload/trace.h"

@@ -45,9 +45,6 @@ COUNTER_NAMES = [
     "bytes_copied_cross_process", "bytes_filled_origin", "origin_fills",
     "cgi_requests", "future_errors", "queue_full_yields", "map_evictions",
     "worker_abnormal_exits", "worker_respawns", "pins_swept",
-    # CDN consistency accounting (planes fronting a hierarchy publish these;
-    # older planes stop at pins_swept and the count field keeps us honest).
-    "stale_serves", "invalidations_sent", "revalidation_bytes",
 ]
 
 FUTURE_STATE_NAMES = {0: "free", 1: "pending", 2: "ready", 3: "error", 4: "writing"}

@@ -10,9 +10,6 @@
 // (HTTP/1.1 pipelining head-of-line blocking), and timestamps every
 // request for the Telemetry sink. One Run per Experiment instance: a
 // second Run would reuse stale lane/counter state and dies loudly instead.
-//
-// The old single-server, throughput-only entry point survives as
-// iolhttp::LoadDriver, a thin wrapper over this engine.
 
 #ifndef SRC_DRIVER_EXPERIMENT_H_
 #define SRC_DRIVER_EXPERIMENT_H_

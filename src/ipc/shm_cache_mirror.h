@@ -11,10 +11,13 @@
 // silently skipped; a foreign lookup then misses and takes the fill path,
 // which is correct, just slower.
 //
-// Erase is asymmetric on purpose: a mirrored entry that a foreign process
-// has pinned cannot be removed from the map (ShmMap::Erase refuses), so the
-// mirror parks the key and retries on later mutations. The payload is safe
-// either way — region extents are never recycled by the plane.
+// A re-insert swaps the mapped value in place (ShmMap::Replace), so another
+// replica serving its own hit never finds the key missing mid-update.
+// Mutations are asymmetric on purpose: a mirrored entry that a foreign
+// process has pinned can be neither erased nor replaced, so the mirror
+// parks the key's latest mutation and retries it on later mutations. The
+// payload is safe either way — region extents are never recycled by the
+// plane.
 
 #ifndef SRC_IPC_SHM_CACHE_MIRROR_H_
 #define SRC_IPC_SHM_CACHE_MIRROR_H_
@@ -25,6 +28,7 @@
 #include "src/fs/file_cache.h"
 #include "src/ipc/shm_map.h"
 #include "src/ipc/shm_region.h"
+#include "src/ipc/slice_desc.h"
 
 namespace iolipc {
 
@@ -39,15 +43,26 @@ class ShmCacheMirror : public iolfs::CacheMirror {
 
   // Entries skipped because they were not shareable (diagnostics).
   uint64_t skipped() const { return skipped_; }
-  // Erases currently parked behind a foreign pin.
-  size_t deferred_erases() const { return deferred_.size(); }
+  // Keys whose latest mutation is parked behind a foreign pin.
+  size_t deferred() const { return deferred_.size(); }
 
  private:
+  // One key's latest mutation: publish `value`, or erase the key.
+  struct Mutation {
+    uint64_t key;
+    bool publish;
+    SliceDesc value;
+  };
+
+  // Applies `m` now, or parks it in place of the key's older parked one.
+  void Apply(const Mutation& m);
+  // True when `m` took effect (or has nothing left to do).
+  bool TryApply(const Mutation& m);
   void DrainDeferred();
 
   ShmRegion* region_;
   ShmMap* map_;
-  std::vector<uint64_t> deferred_;
+  std::vector<Mutation> deferred_;
   uint64_t skipped_ = 0;
 };
 

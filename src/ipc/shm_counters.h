@@ -39,12 +39,7 @@ enum PlaneCounter : uint32_t {
   kWorkerAbnormalExits = 11,     // Workers reaped with non-zero exit or signal.
   kWorkerRespawns = 12,          // Workers relaunched by the supervisor.
   kPinsSwept = 13,               // Stale pins reclaimed from dead workers.
-  // CDN consistency accounting (PR 10): planes that front a hierarchy
-  // publish these so the inspector can see freshness traffic per level.
-  kStaleServes = 14,             // Responses served past their version/TTL.
-  kInvalidationsSent = 15,       // Invalidation frames pushed to children.
-  kRevalidationBytes = 16,       // Conditional-check bytes on the backhaul.
-  kCounterCount = 17,
+  kCounterCount = 14,
 };
 
 // Stable names, index-aligned with PlaneCounter (used by dumps and tests;
@@ -56,7 +51,6 @@ inline const char* PlaneCounterName(uint32_t i) {
       "bytes_filled_origin", "origin_fills", "cgi_requests",
       "future_errors",      "queue_full_yields", "map_evictions",
       "worker_abnormal_exits", "worker_respawns", "pins_swept",
-      "stale_serves",       "invalidations_sent", "revalidation_bytes",
   };
   return i < kCounterCount ? kNames[i] : "unknown";
 }

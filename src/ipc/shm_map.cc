@@ -212,6 +212,41 @@ bool ShmMap::Unpin(uint64_t key) {
   return false;
 }
 
+ShmMap::ReplaceResult ShmMap::Replace(uint64_t key, const SliceDesc& value) {
+  uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
+  for (uint32_t i = 0; i <= mask_; ++i) {
+    Slot& s = slots()[(start + i) & mask_];
+    uint32_t st = s.state.load(std::memory_order_acquire);
+    while (st == kBusy) {
+      sched_yield();
+      st = s.state.load(std::memory_order_acquire);
+    }
+    if (st == kEmpty) {
+      return ReplaceResult::kAbsent;
+    }
+    if (st == kFull && s.key == key) {
+      if (!LockFull(&s)) {
+        return ReplaceResult::kAbsent;
+      }
+      if (s.key != key) {
+        s.state.store(kFull, std::memory_order_release);
+        continue;
+      }
+      if (s.pins.load(std::memory_order_relaxed) > 0) {
+        s.state.store(kFull, std::memory_order_release);
+        return ReplaceResult::kPinned;
+      }
+      uint64_t old_len = s.value.length;
+      s.value = value;
+      s.state.store(kFull, std::memory_order_release);
+      header_->bytes.fetch_add(value.length, std::memory_order_relaxed);
+      header_->bytes.fetch_sub(old_len, std::memory_order_relaxed);
+      return ReplaceResult::kReplaced;
+    }
+  }
+  return ReplaceResult::kAbsent;
+}
+
 bool ShmMap::Erase(uint64_t key) {
   uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
   for (uint32_t i = 0; i <= mask_; ++i) {

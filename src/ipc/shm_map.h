@@ -91,6 +91,12 @@ class ShmMap {
   // racing InvalidateFile — callers treat that as a bug in the plane).
   bool Unpin(uint64_t key);
 
+  // Swaps the value of a present, unpinned entry in place under the slot
+  // lock, so a concurrent lookup sees the old value or the new one, never
+  // neither. kPinned leaves the entry unchanged; kAbsent inserts nothing.
+  enum class ReplaceResult { kReplaced, kPinned, kAbsent };
+  ReplaceResult Replace(uint64_t key, const SliceDesc& value);
+
   // Removes the entry unless pinned. False when absent or pinned.
   bool Erase(uint64_t key);
 

@@ -175,7 +175,6 @@ char* MmapRegion::EnsureWrite(uint64_t offset, size_t len) {
 }
 
 void MmapRegion::Sync() {
-  iolsim::SimContext* ctx = posix_->ctx();
   for (uint64_t p = 0; p < dirty_.size(); ++p) {
     if (!dirty_[p]) {
       continue;

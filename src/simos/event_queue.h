@@ -11,24 +11,18 @@
 // are *moved* out rather than copied, and multi-stage continuations ride in
 // pooled nodes (ResourceChain, and per-subsystem pools in net/fs/httpd).
 //
-// Two scheduler implementations share the slot pool and the exact
-// (when, seq) dispatch contract:
+// The scheduler is a bucketed calendar queue (R. Brown, CACM '88). Days
+// are a power-of-two width auto-tuned from observed inter-event gaps; each
+// bucket is a sorted FIFO of pooled nodes with an O(1) append fast path
+// (monotone and same-instant schedules); the bucket array lazily
+// doubles/halves as the population drifts. Amortized O(1) schedule and
+// dispatch for the stationary-arrival workloads every figure runs.
 //
-//  * kCalendar (default): a bucketed calendar queue (R. Brown, CACM '88).
-//    Days are a power-of-two width auto-tuned from observed inter-event
-//    gaps; each bucket is a sorted FIFO of pooled nodes with an O(1)
-//    append fast path (monotone and same-instant schedules); the bucket
-//    array lazily doubles/halves as the population drifts. Amortized O(1)
-//    schedule and dispatch for the stationary-arrival workloads every
-//    figure runs.
-//  * kHeap: the 4-ary POD heap, kept as the reference implementation
-//    behind a knob (env IOLITE_EVENT_QUEUE=heap, the IOLITE_HEAP_SCHEDULER
-//    build option, or EventQueue::set_default_impl). O(log n) per event.
-//
-// Both dispatch in exactly (when, seq) order — seq is unique, so the order
-// is a total order independent of scheduler internals. The golden
+// Events dispatch in exactly (when, seq) order — seq is unique, so the
+// order is a total order independent of scheduler internals. The golden
 // determinism tests pin this; tests/scheduler_test.cc drives randomized
-// schedule/cancel streams through both and asserts identical sequences.
+// schedule/cancel streams through the queue and a std::priority_queue
+// reference and asserts identical sequences.
 
 #ifndef SRC_SIMOS_EVENT_QUEUE_H_
 #define SRC_SIMOS_EVENT_QUEUE_H_
@@ -36,8 +30,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -50,39 +42,23 @@ namespace iolsim {
 // simulations are deterministic.
 class EventQueue {
  public:
-  enum class Impl { kCalendar, kHeap };
-
   // Handle for Cancel: packs the callback slot and its generation, so a
   // stale handle (the event already dispatched or cancelled) is rejected.
   using EventId = uint64_t;
 
-  // The process-wide default scheduler. Starts as kCalendar (kHeap when
-  // built with IOLITE_HEAP_SCHEDULER), overridable by the environment
-  // (IOLITE_EVENT_QUEUE=heap|calendar) and at runtime by set_default_impl
-  // (read once per EventQueue construction; not thread-safe against
-  // concurrent construction — flip it between runs, from one thread).
-  static Impl default_impl() { return DefaultImplSlot(); }
-  static void set_default_impl(Impl impl) { DefaultImplSlot() = impl; }
-
   // `dispatched_counter`, when given, is incremented once per dispatched
   // event (SimContext points it at SimStats::events_dispatched).
-  explicit EventQueue(VirtualClock* clock, uint64_t* dispatched_counter = nullptr,
-                      Impl impl = default_impl())
+  explicit EventQueue(VirtualClock* clock, uint64_t* dispatched_counter = nullptr)
       : clock_(clock),
-        dispatched_(dispatched_counter != nullptr ? dispatched_counter : &own_dispatched_),
-        impl_(impl) {
-    if (impl_ == Impl::kCalendar) {
-      cal_head_.assign(kMinBuckets, kNil);
-      cal_tail_.assign(kMinBuckets, kNil);
-      cal_mask_ = kMinBuckets - 1;
-      cal_top_ = SimTime{1} << cal_shift_;
-    }
+        dispatched_(dispatched_counter != nullptr ? dispatched_counter : &own_dispatched_) {
+    cal_head_.assign(kMinBuckets, kNil);
+    cal_tail_.assign(kMinBuckets, kNil);
+    cal_mask_ = kMinBuckets - 1;
+    cal_top_ = SimTime{1} << cal_shift_;
   }
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  Impl impl() const { return impl_; }
 
   // Schedules `fn` to run at absolute time `when` (clamped to now). The
   // returned id is valid until the event dispatches (or is cancelled) and
@@ -101,13 +77,7 @@ class EventQueue {
       slots_.emplace_back();
       slots_[slot].fn = std::move(fn);
     }
-    uint64_t seq = next_seq_++;
-    if (impl_ == Impl::kHeap) {
-      heap_.push_back(Event{when, seq, slot});
-      SiftUp(heap_.size() - 1);
-    } else {
-      CalInsert(when, seq, slot);
-    }
+    CalInsert(when, next_seq_++, slot);
     ++live_;
     return MakeId(slot, slots_[slot].gen);
   }
@@ -204,7 +174,7 @@ class EventQueue {
   }
 
  private:
-  // Both schedulers order lightweight POD keys; the continuations
+  // The scheduler orders lightweight POD keys; the continuations
   // themselves sit in a slot pool and never move while queued.
   struct Event {
     SimTime when;
@@ -223,26 +193,6 @@ class EventQueue {
 
   static constexpr uint32_t kNil = UINT32_MAX;
 
-  static Impl& DefaultImplSlot() {
-    static Impl impl = [] {
-#ifdef IOLITE_HEAP_SCHEDULER
-      Impl v = Impl::kHeap;
-#else
-      Impl v = Impl::kCalendar;
-#endif
-      const char* env = std::getenv("IOLITE_EVENT_QUEUE");
-      if (env != nullptr) {
-        if (std::strcmp(env, "heap") == 0) {
-          v = Impl::kHeap;
-        } else if (std::strcmp(env, "calendar") == 0) {
-          v = Impl::kCalendar;
-        }
-      }
-      return v;
-    }();
-    return impl;
-  }
-
   static EventId MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(slot) << 32) | gen;
   }
@@ -260,24 +210,12 @@ class EventQueue {
   }
 
   Event PeekMinKey() {
-    if (impl_ == Impl::kHeap) {
-      return heap_[0];
-    }
     CalFindMin();
     const CalNode& n = cal_nodes_[cal_head_[cal_bucket_]];
     return Event{n.when, n.seq, n.slot};
   }
 
   Event PopMinKey() {
-    if (impl_ == Impl::kHeap) {
-      Event ev = heap_[0];
-      Event last = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) {
-        SiftDownFromRoot(last);
-      }
-      return ev;
-    }
     CalFindMin();
     uint32_t idx = cal_head_[cal_bucket_];
     CalNode& n = cal_nodes_[idx];
@@ -300,58 +238,6 @@ class EventQueue {
       CalResize(cal_count_);
     }
     return ev;
-  }
-
-  // --- 4-ary heap (reference implementation) --------------------------------
-
-  // "a dispatches after b". (when, seq) is a total order — seq is unique —
-  // so the dispatch order is exactly the old priority_queue's, independent
-  // of heap shape or arity.
-  static bool After(const Event& a, const Event& b) {
-    if (a.when != b.when) {
-      return a.when > b.when;
-    }
-    return a.seq > b.seq;
-  }
-
-  static constexpr size_t kArity = 4;
-
-  void SiftUp(size_t i) {
-    Event e = heap_[i];
-    while (i > 0) {
-      size_t parent = (i - 1) / kArity;
-      if (!After(heap_[parent], e)) {
-        break;
-      }
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  // Places `e` starting at the (just-vacated) root.
-  void SiftDownFromRoot(Event e) {
-    size_t n = heap_.size();
-    size_t i = 0;
-    while (true) {
-      size_t first_kid = i * kArity + 1;
-      if (first_kid >= n) {
-        break;
-      }
-      size_t best = first_kid;
-      size_t end = first_kid + kArity < n ? first_kid + kArity : n;
-      for (size_t kid = first_kid + 1; kid < end; ++kid) {
-        if (After(heap_[best], heap_[kid])) {
-          best = kid;
-        }
-      }
-      if (!After(e, heap_[best])) {
-        break;
-      }
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = e;
   }
 
   // --- Calendar queue -------------------------------------------------------
@@ -527,12 +413,8 @@ class EventQueue {
   size_t live_ = 0;  // Pending minus cancelled-but-not-yet-surfaced.
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-  Impl impl_;
 
-  // kHeap state.
-  std::vector<Event> heap_;
-
-  // kCalendar state.
+  // Calendar state.
   std::vector<CalNode> cal_nodes_;
   uint32_t cal_free_ = kNil;
   std::vector<uint32_t> cal_head_;

@@ -449,6 +449,13 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   EXPECT_NE(out.find("\"bytes_served\": 12345"), std::string::npos) << out;
   EXPECT_NE(out.find("\"key\": 7"), std::string::npos) << out;
   EXPECT_NE(out.find("\"payload_length\": 512"), std::string::npos) << out;
+  // The inspector's counter names stay in lockstep with PlaneCounterName:
+  // every slot decodes under its C++ name, none under the fallback.
+  for (uint32_t i = 0; i < iolipc::kCounterCount; ++i) {
+    std::string key = std::string("\"") + iolipc::PlaneCounterName(i) + "\": ";
+    EXPECT_NE(out.find(key), std::string::npos) << key << " missing in " << out;
+  }
+  EXPECT_EQ(out.find("\"counter_"), std::string::npos) << out;
 }
 
 }  // namespace

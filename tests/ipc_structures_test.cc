@@ -431,19 +431,65 @@ TEST(ShmCacheMirrorTest, ProjectsCacheMembershipIntoTheMap) {
   ASSERT_TRUE(map.LookupAndPin(9, &v));
   cache.InvalidateFile(9);
   EXPECT_TRUE(map.Lookup(9, &v)) << "pinned entry survives the erase";
-  EXPECT_EQ(mirror.deferred_erases(), 1u);
+  EXPECT_EQ(mirror.deferred(), 1u);
   ASSERT_TRUE(map.Unpin(9));
   // Any later mutation drains the deferred erase.
   iolite::BufferRef buf3 = pool.AllocateDma(3, 1024);
   cache.Insert(11, 0, iolite::Aggregate::FromBuffer(buf3));
   EXPECT_FALSE(map.Lookup(9, &v));
-  EXPECT_EQ(mirror.deferred_erases(), 0u);
+  EXPECT_EQ(mirror.deferred(), 0u);
 
   // Multi-slice and partial-offset entries are skipped, not published.
   uint64_t skipped = mirror.skipped();
   cache.Insert(13, 100, iolite::Aggregate::FromBuffer(pool.AllocateDma(4, 512)));
   EXPECT_GT(mirror.skipped(), skipped);
   EXPECT_FALSE(map.Lookup(13, &v));
+}
+
+TEST(ShmCacheMirrorTest, ReinsertNeverHidesTheKeyFromAConcurrentReader) {
+  // Another replica serving its own cache hit looks the key up while this
+  // mirror re-publishes it; the key must stay visible throughout.
+  auto region = AnonRegion(8u << 20);
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
+  iolipc::ShmCacheMirror mirror(region.get(), &map);
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain, region.get());
+  iolite::Aggregate a = iolite::Aggregate::FromBuffer(pool.AllocateDma(1, 4096));
+  iolite::Aggregate b = iolite::Aggregate::FromBuffer(pool.AllocateDma(2, 4096));
+  mirror.OnInsert(7, 0, a);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> lookups{0};
+  std::atomic<uint64_t> misses{0};
+  std::thread reader([&] {
+    SliceDesc v;
+    while (!stop.load(std::memory_order_acquire)) {
+      if (map.LookupAndPin(7, &v)) {
+        map.Unpin(7);
+      } else {
+        misses.fetch_add(1, std::memory_order_relaxed);
+      }
+      lookups.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (lookups.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 20000; ++i) {
+    mirror.OnInsert(7, 0, i % 2 == 0 ? b : a);
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(misses.load(), 0u) << "of " << lookups.load() << " lookups";
+
+  // Once the reader's pins are gone, the last re-insert is what the map names.
+  mirror.OnErase(99, 0, 0);  // Any mutation drains a parked replacement.
+  SliceDesc v;
+  ASSERT_TRUE(map.Lookup(7, &v));
+  EXPECT_EQ(region->At(v.offset), a.slices()[0].data());
+  EXPECT_EQ(mirror.deferred(), 0u);
+  EXPECT_EQ(map.size(), 1u);
 }
 
 // --- The plane, threads mode (the TSan-checkable full stack) ----------------

@@ -25,9 +25,12 @@
 // Counting allocator: every operator-new in this test binary bumps a
 // counter, so tests can assert that a code region allocates exactly zero
 // times. Deallocation is left untouched (frees are not the contract).
+// The operators stay out of line: once inlined, a caller's malloc() would
+// meet an operator-delete call (or operator new() a free()), which GCC
+// reports as a mismatched allocation pair.
 static std::atomic<uint64_t> g_alloc_count{0};
 
-void* operator new(size_t n) {
+[[gnu::noinline]] void* operator new(size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(n);
   if (p == nullptr) {
@@ -35,7 +38,7 @@ void* operator new(size_t n) {
   }
   return p;
 }
-void* operator new[](size_t n) {
+[[gnu::noinline]] void* operator new[](size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(n);
   if (p == nullptr) {
@@ -43,10 +46,10 @@ void* operator new[](size_t n) {
   }
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace {
 

@@ -25,9 +25,12 @@
 
 // Counting allocator (same pattern as pipeline_test.cc): every global new is
 // counted so warm-path zero-allocation claims are enforceable.
+// The operators stay out of line: once inlined, a caller's malloc() would
+// meet an operator-delete call (or operator new() a free()), which GCC
+// reports as a mismatched allocation pair.
 static std::atomic<uint64_t> g_alloc_count{0};
 
-void* operator new(size_t n) {
+[[gnu::noinline]] void* operator new(size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(n);
   if (p == nullptr) {
@@ -36,7 +39,7 @@ void* operator new(size_t n) {
   return p;
 }
 
-void* operator new[](size_t n) {
+[[gnu::noinline]] void* operator new[](size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(n);
   if (p == nullptr) {
@@ -45,10 +48,10 @@ void* operator new[](size_t n) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace {
 

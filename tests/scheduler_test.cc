@@ -1,7 +1,8 @@
-// Property tests for the two EventQueue scheduler implementations.
+// Property tests for the EventQueue calendar-queue scheduler.
 //
-// The contract: calendar queue and reference heap dispatch the exact same
-// (when, seq) sequence for any schedule/cancel/re-schedule stream. The
+// The contract: the calendar queue dispatches the exact same (when, seq)
+// sequence as a plain std::priority_queue reference for any
+// schedule/cancel/re-schedule stream. The
 // golden determinism tests pin the macro behavior; these tests attack the
 // scheduler directly with adversarial shapes — same-instant bursts,
 // far-future jumps that force the full-ring fallback, populations that
@@ -10,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <random>
 #include <utility>
 #include <vector>
@@ -22,11 +25,66 @@
 namespace iolsim {
 namespace {
 
-using Impl = EventQueue::Impl;
+// The reference scheduler: a std::priority_queue of (when, seq) keys with
+// lazy cancel. Same contract as EventQueue (clamp to now, dispatch in
+// (when, seq) order, advance the clock, stale ids rejected) and none of its
+// machinery.
+class ReferenceQueue {
+ public:
+  explicit ReferenceQueue(VirtualClock* clock) : clock_(clock) {}
+  uint64_t ScheduleAt(SimTime when, std::function<void()> fn) {
+    fns_.push_back(std::move(fn));
+    keys_.emplace(std::max(when, clock_->now()), fns_.size() - 1);
+    ++live_;
+    return fns_.size() - 1;
+  }
+  uint64_t ScheduleAfter(SimTime delay, std::function<void()> fn) {
+    return ScheduleAt(clock_->now() + delay, std::move(fn));
+  }
+  bool Cancel(uint64_t seq) {
+    if (seq >= fns_.size() || !fns_[seq]) {
+      return false;
+    }
+    fns_[seq] = nullptr;
+    --live_;
+    return true;
+  }
+  size_t size() const { return live_; }
+  bool RunOne() {
+    while (!keys_.empty() && !fns_[keys_.top().second]) {
+      keys_.pop();  // Lazy cancel: the key of a cancelled event surfaced.
+    }
+    if (keys_.empty()) {
+      return false;
+    }
+    auto [when, seq] = keys_.top();
+    keys_.pop();
+    clock_->AdvanceTo(when);
+    std::function<void()> fn = std::exchange(fns_[seq], nullptr);
+    --live_;
+    fn();
+    return true;
+  }
+  uint64_t RunAll() {
+    uint64_t n = 0;
+    while (RunOne()) {
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  using Key = std::pair<SimTime, uint64_t>;  // (when, seq)
+
+  VirtualClock* clock_;
+  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> keys_;
+  std::vector<std::function<void()>> fns_;  // By seq; null once run or cancelled.
+  size_t live_ = 0;
+};
 
 // One deterministic stream of scheduler operations, replayable against
-// either implementation. Ops reference events by stream-local index so the
-// two replays make identical choices.
+// either scheduler. Ops reference events by stream-local index so the two
+// replays make identical choices.
 struct OpStream {
   struct Op {
     enum Kind { kSchedule, kCancel, kRunOne, kRunSome } kind;
@@ -68,15 +126,16 @@ OpStream MakeRandomStream(uint32_t seed, size_t n_ops, SimTime max_delay) {
   return s;
 }
 
-// Replays `stream` against a fresh queue of the given impl and returns the
-// dispatched (when, payload) sequence. Payload is the schedule-op index, so
-// matching sequences mean the same events ran in the same order at the same
-// times.
-std::vector<std::pair<SimTime, uint64_t>> Replay(const OpStream& stream, Impl impl) {
+// Replays `stream` against a fresh Queue (EventQueue or ReferenceQueue) and
+// returns the dispatched (when, payload) sequence. Payload is the
+// schedule-op index, so matching sequences mean the same events ran in the
+// same order at the same times.
+template <typename Queue>
+std::vector<std::pair<SimTime, uint64_t>> Replay(const OpStream& stream) {
   VirtualClock clock;
-  EventQueue q(&clock, nullptr, impl);
+  Queue q(&clock);
   std::vector<std::pair<SimTime, uint64_t>> dispatched;
-  std::vector<EventQueue::EventId> ids;  // Parallel to schedule-op count.
+  std::vector<uint64_t> ids;  // Parallel to schedule-op count.
   uint64_t schedule_count = 0;
   auto record = [&dispatched](SimTime when, uint64_t tag) {
     dispatched.emplace_back(when, tag);
@@ -111,12 +170,12 @@ std::vector<std::pair<SimTime, uint64_t>> Replay(const OpStream& stream, Impl im
   return dispatched;
 }
 
-TEST(SchedulerEquivalence, RandomStreamsMatchHeapExactly) {
+TEST(SchedulerEquivalence, RandomStreamsMatchReferenceExactly) {
   for (uint32_t seed = 1; seed <= 24; ++seed) {
     OpStream s = MakeRandomStream(seed, 4000, 1'000'000);
-    auto cal = Replay(s, Impl::kCalendar);
-    auto heap = Replay(s, Impl::kHeap);
-    ASSERT_EQ(cal, heap) << "seed " << seed;
+    auto cal = Replay<EventQueue>(s);
+    auto ref = Replay<ReferenceQueue>(s);
+    ASSERT_EQ(cal, ref) << "seed " << seed;
     ASSERT_FALSE(cal.empty()) << "seed " << seed;
     ASSERT_TRUE(std::is_sorted(cal.begin(), cal.end(),
                                [](const auto& a, const auto& b) { return a.first < b.first; }))
@@ -129,7 +188,7 @@ TEST(SchedulerEquivalence, SparseFarFutureStreamsMatch) {
   // direct-search fallback.
   for (uint32_t seed = 100; seed <= 108; ++seed) {
     OpStream s = MakeRandomStream(seed, 1500, SimTime{50'000'000'000});
-    ASSERT_EQ(Replay(s, Impl::kCalendar), Replay(s, Impl::kHeap)) << "seed " << seed;
+    ASSERT_EQ(Replay<EventQueue>(s), Replay<ReferenceQueue>(s)) << "seed " << seed;
   }
 }
 
@@ -138,38 +197,38 @@ TEST(SchedulerEquivalence, DenseSameInstantStreamsMatch) {
   // in-bucket FIFO order and the seq tie-break.
   for (uint32_t seed = 200; seed <= 208; ++seed) {
     OpStream s = MakeRandomStream(seed, 4000, 16);
-    ASSERT_EQ(Replay(s, Impl::kCalendar), Replay(s, Impl::kHeap)) << "seed " << seed;
+    ASSERT_EQ(Replay<EventQueue>(s), Replay<ReferenceQueue>(s)) << "seed " << seed;
   }
 }
 
 TEST(SchedulerEquivalence, GrowShrinkCycleMatches) {
   // Pump the population up past several resize doublings, drain to nearly
   // empty, and repeat — every lap crosses grow and shrink thresholds.
-  VirtualClock cc, hc;
-  EventQueue cal(&cc, nullptr, Impl::kCalendar);
-  EventQueue heap(&hc, nullptr, Impl::kHeap);
-  std::vector<SimTime> cal_out, heap_out;
+  VirtualClock cc, rc;
+  EventQueue cal(&cc);
+  ReferenceQueue ref(&rc);
+  std::vector<SimTime> cal_out, ref_out;
   std::mt19937 rng(7);
   std::uniform_int_distribution<SimTime> delay(0, 200'000);
   for (int lap = 0; lap < 4; ++lap) {
     for (int i = 0; i < 3000; ++i) {
       SimTime d = delay(rng);
       cal.ScheduleAfter(d, [&cal_out, &cc] { cal_out.push_back(cc.now()); });
-      heap.ScheduleAfter(d, [&heap_out, &hc] { heap_out.push_back(hc.now()); });
+      ref.ScheduleAfter(d, [&ref_out, &rc] { ref_out.push_back(rc.now()); });
     }
-    ASSERT_EQ(cal.size(), heap.size());
+    ASSERT_EQ(cal.size(), ref.size());
     while (cal.size() > 8) {
       ASSERT_TRUE(cal.RunOne());
-      ASSERT_TRUE(heap.RunOne());
+      ASSERT_TRUE(ref.RunOne());
     }
   }
-  ASSERT_EQ(cal.RunAll(), heap.RunAll());
-  EXPECT_EQ(cal_out, heap_out);
+  ASSERT_EQ(cal.RunAll(), ref.RunAll());
+  EXPECT_EQ(cal_out, ref_out);
 }
 
 TEST(SchedulerCancel, CancelledEventsNeverRunAndIdsGoStale) {
   VirtualClock clock;
-  EventQueue q(&clock, nullptr, Impl::kCalendar);
+  EventQueue q(&clock);
   int ran = 0;
   auto id_a = q.ScheduleAfter(10, [&ran] { ++ran; });
   auto id_b = q.ScheduleAfter(20, [&ran] { ++ran; });
@@ -188,7 +247,7 @@ TEST(SchedulerCancel, CancelledEventsNeverRunAndIdsGoStale) {
 TEST(SchedulerCancel, CancelHeadDoesNotAdvanceClockOrCounter) {
   VirtualClock clock;
   uint64_t dispatched = 0;
-  EventQueue q(&clock, &dispatched, Impl::kCalendar);
+  EventQueue q(&clock, &dispatched);
   bool late_ran = false;
   auto head = q.ScheduleAfter(5, [] { ADD_FAILURE() << "cancelled head ran"; });
   q.ScheduleAfter(50, [&late_ran] { late_ran = true; });
@@ -202,28 +261,17 @@ TEST(SchedulerCancel, CancelHeadDoesNotAdvanceClockOrCounter) {
   EXPECT_EQ(dispatched, 1u);
 }
 
-TEST(SchedulerKnob, DefaultImplOverride) {
-  Impl saved = EventQueue::default_impl();
-  EventQueue::set_default_impl(Impl::kHeap);
+TEST(SchedulerRunUntil, DeadlineSemantics) {
   VirtualClock clock;
   EventQueue q(&clock);
-  EXPECT_EQ(q.impl(), Impl::kHeap);
-  EventQueue::set_default_impl(saved);
-}
-
-TEST(SchedulerRunUntil, DeadlineSemanticsIdenticalAcrossImpls) {
-  for (Impl impl : {Impl::kCalendar, Impl::kHeap}) {
-    VirtualClock clock;
-    EventQueue q(&clock, nullptr, impl);
-    std::vector<SimTime> out;
-    for (SimTime t : {5, 10, 10, 15, 20}) {
-      q.ScheduleAt(t, [&out, &clock] { out.push_back(clock.now()); });
-    }
-    EXPECT_EQ(q.RunUntil(10), 3u);  // Events exactly at the deadline run.
-    EXPECT_EQ(clock.now(), 10);
-    EXPECT_EQ(q.RunUntil(100), 2u);
-    EXPECT_EQ(out, (std::vector<SimTime>{5, 10, 10, 15, 20}));
+  std::vector<SimTime> out;
+  for (SimTime t : {5, 10, 10, 15, 20}) {
+    q.ScheduleAt(t, [&out, &clock] { out.push_back(clock.now()); });
   }
+  EXPECT_EQ(q.RunUntil(10), 3u);  // Events exactly at the deadline run.
+  EXPECT_EQ(clock.now(), 10);
+  EXPECT_EQ(q.RunUntil(100), 2u);
+  EXPECT_EQ(out, (std::vector<SimTime>{5, 10, 10, 15, 20}));
 }
 
 }  // namespace
