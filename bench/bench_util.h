@@ -112,26 +112,10 @@ class JsonReporter {
       row.value = result.megabits_per_sec;
       row.has_latency = true;
       row.has_perf = true;
-      row.latency = result.latency;
-      row.requests = result.requests;
-      row.cache_hit_rate = result.cache_hit_rate;
-      row.proxy_hit_rate = result.proxy_hit_rate;
-      row.origin_hit_rate = result.origin_hit_rate;
-      row.bytes_copied_backhaul = result.bytes_copied_backhaul;
-      row.origin_p99_ms = result.origin_latency.p99_ms;
       row.wall_ms = result.wall_ms;
       row.events_per_sec =
           result.wall_ms > 0 ? result.events_dispatched / (result.wall_ms / 1000.0) : 0;
-      row.availability = result.availability;
-      row.error_rate = result.error_rate;
-      row.retries = result.retries;
-      row.goodput_mbps = result.goodput_mbps;
-      row.tenants = result.tenants;
-      row.staleness_p99_ms = result.staleness.p99_ms;
-      row.stale_serves = result.stale_serves;
-      row.cdn_writes = result.cdn_writes;
-      row.origin_fleet_fetches = result.origin_fleet_fetches;
-      row.cdn_levels = result.cdn_levels;
+      row.result = result;
       rows_.push_back(std::move(row));
     }
   }
@@ -153,6 +137,7 @@ class JsonReporter {
                  smoke_ ? "true" : "false");
     for (size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
+      const ioldrv::ExperimentResult& e = r.result;
       // The per-tier proxy fields and the fault-plane fields appear on
       // every row (zeros / 1.0 outside their experiments) so one schema
       // covers every BENCH_*.json.
@@ -164,22 +149,22 @@ class JsonReporter {
                    "\"retries\": %llu, \"goodput_mbps\": %.6g, "
                    "\"staleness_p99_ms\": %.6g, \"stale_serves\": %llu, "
                    "\"cdn_writes\": %llu, \"origin_fleet_fetches\": %llu",
-                   i == 0 ? "" : ",", r.series.c_str(), r.x, r.value, r.proxy_hit_rate,
-                   r.origin_hit_rate,
-                   static_cast<unsigned long long>(r.bytes_copied_backhaul),
-                   r.availability, r.error_rate,
-                   static_cast<unsigned long long>(r.retries), r.goodput_mbps,
-                   r.staleness_p99_ms, static_cast<unsigned long long>(r.stale_serves),
-                   static_cast<unsigned long long>(r.cdn_writes),
-                   static_cast<unsigned long long>(r.origin_fleet_fetches));
+                   i == 0 ? "" : ",", r.series.c_str(), r.x, r.value, e.proxy_hit_rate,
+                   e.origin_hit_rate,
+                   static_cast<unsigned long long>(e.bytes_copied_backhaul),
+                   e.availability, e.error_rate,
+                   static_cast<unsigned long long>(e.retries), e.goodput_mbps,
+                   e.staleness.p99_ms, static_cast<unsigned long long>(e.stale_serves),
+                   static_cast<unsigned long long>(e.cdn_writes),
+                   static_cast<unsigned long long>(e.origin_fleet_fetches));
       if (r.has_latency) {
         std::fprintf(f,
                      ", \"requests\": %llu, \"cache_hit_rate\": %.6g, \"p50_ms\": %.6g, "
                      "\"p90_ms\": %.6g, \"p99_ms\": %.6g, \"max_ms\": %.6g, "
                      "\"origin_p99_ms\": %.6g",
-                     static_cast<unsigned long long>(r.requests), r.cache_hit_rate,
-                     r.latency.p50_ms, r.latency.p90_ms, r.latency.p99_ms,
-                     r.latency.max_ms, r.origin_p99_ms);
+                     static_cast<unsigned long long>(e.requests), e.cache_hit_rate,
+                     e.latency.p50_ms, e.latency.p90_ms, e.latency.p99_ms,
+                     e.latency.max_ms, e.origin_latency.p99_ms);
       }
       if (r.has_perf) {
         std::fprintf(f, ", \"wall_ms\": %.6g, \"events_per_sec\": %.6g", r.wall_ms,
@@ -187,10 +172,10 @@ class JsonReporter {
       }
       // Multi-tenant rows carry a per-tenant breakdown; single-tenant rows
       // omit the key entirely, so every pre-QoS BENCH_*.json is unchanged.
-      if (!r.tenants.empty()) {
+      if (!e.tenants.empty()) {
         std::fprintf(f, ", \"tenants\": [");
-        for (size_t t = 0; t < r.tenants.size(); ++t) {
-          const ioldrv::TenantBreakdown& b = r.tenants[t];
+        for (size_t t = 0; t < e.tenants.size(); ++t) {
+          const ioldrv::TenantBreakdown& b = e.tenants[t];
           std::fprintf(f,
                        "%s{\"tenant_id\": %u, \"name\": \"%s\", \"requests\": %llu, "
                        "\"p50_ms\": %.6g, \"p99_ms\": %.6g, \"cache_hit_rate\": %.6g, "
@@ -204,10 +189,10 @@ class JsonReporter {
       }
       // CDN hierarchy rows carry a per-level breakdown (level 0 = edges);
       // non-CDN rows omit the key, like the tenants array above.
-      if (!r.cdn_levels.empty()) {
+      if (!e.cdn_levels.empty()) {
         std::fprintf(f, ", \"levels\": [");
-        for (size_t l = 0; l < r.cdn_levels.size(); ++l) {
-          const ioldrv::ExperimentResult::CdnLevelResult& c = r.cdn_levels[l];
+        for (size_t l = 0; l < e.cdn_levels.size(); ++l) {
+          const ioldrv::ExperimentResult::CdnLevelResult& c = e.cdn_levels[l];
           std::fprintf(
               f,
               "%s{\"level\": %zu, \"proxies\": %d, \"hit_rate\": %.6g, "
@@ -235,31 +220,17 @@ class JsonReporter {
   }
 
  private:
+  // Add and AddPerf rows hold a default ExperimentResult, so they print
+  // its defaults (availability 1, zeros elsewhere) like every other row.
   struct Row {
     std::string series;
     double x = 0;
     double value = 0;
     bool has_latency = false;
     bool has_perf = false;
-    ioldrv::LatencySummary latency;
-    uint64_t requests = 0;
-    double cache_hit_rate = 0;
-    double proxy_hit_rate = 0;
-    double origin_hit_rate = 0;
-    uint64_t bytes_copied_backhaul = 0;
-    double origin_p99_ms = 0;
     double wall_ms = 0;
     double events_per_sec = 0;
-    double availability = 1.0;
-    double error_rate = 0;
-    uint64_t retries = 0;
-    double goodput_mbps = 0;
-    std::vector<ioldrv::TenantBreakdown> tenants;
-    double staleness_p99_ms = 0;
-    uint64_t stale_serves = 0;
-    uint64_t cdn_writes = 0;
-    uint64_t origin_fleet_fetches = 0;
-    std::vector<ioldrv::ExperimentResult::CdnLevelResult> cdn_levels;
+    ioldrv::ExperimentResult result;
   };
   std::string figure_;
   std::string path_;

@@ -91,7 +91,7 @@ ShmMap::InsertResult ShmMap::Insert(uint64_t key, const SliceDesc& value) {
     if (st == kEmpty) {
       break;
     }
-    if (st == kFull && s.key == key) {
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       return InsertResult::kExists;
     }
   }
@@ -108,7 +108,7 @@ ShmMap::InsertResult ShmMap::Insert(uint64_t key, const SliceDesc& value) {
       continue;
     }
     bool reused_tomb = st == kTomb;
-    s.key = key;
+    s.key.store(key, std::memory_order_relaxed);
     s.value = value;
     s.pins.store(0, std::memory_order_relaxed);
     s.state.store(kFull, std::memory_order_release);
@@ -122,7 +122,7 @@ ShmMap::InsertResult ShmMap::Insert(uint64_t key, const SliceDesc& value) {
   return InsertResult::kFull;
 }
 
-bool ShmMap::Lookup(uint64_t key, SliceDesc* out) const {
+ShmMap::Slot* ShmMap::LockKey(uint64_t key) const {
   uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
   for (uint32_t i = 0; i <= mask_; ++i) {
     Slot& s = slots()[(start + i) & mask_];
@@ -132,154 +132,89 @@ bool ShmMap::Lookup(uint64_t key, SliceDesc* out) const {
       st = s.state.load(std::memory_order_acquire);
     }
     if (st == kEmpty) {
-      return false;
+      return nullptr;
     }
-    if (st == kFull && s.key == key) {
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       if (!LockFull(&s)) {
-        return false;  // Erased between the key check and the lock.
+        return nullptr;  // Erased between the key check and the lock.
       }
-      if (s.key != key) {  // Tomb slot reused for another key meanwhile.
-        s.state.store(kFull, std::memory_order_release);
-        continue;
+      if (s.key.load(std::memory_order_relaxed) == key) {
+        return &s;
       }
-      if (out != nullptr) {
-        *out = s.value;
-      }
-      s.state.store(kFull, std::memory_order_release);
-      return true;
+      s.state.store(kFull, std::memory_order_release);  // Tomb reused meanwhile.
     }
   }
-  return false;
+  return nullptr;
+}
+
+bool ShmMap::Lookup(uint64_t key, SliceDesc* out) const {
+  Slot* s = LockKey(key);
+  if (s == nullptr) {
+    return false;
+  }
+  if (out != nullptr) {
+    *out = s->value;
+  }
+  s->state.store(kFull, std::memory_order_release);
+  return true;
 }
 
 bool ShmMap::LookupAndPin(uint64_t key, SliceDesc* out) {
-  uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
-  for (uint32_t i = 0; i <= mask_; ++i) {
-    Slot& s = slots()[(start + i) & mask_];
-    uint32_t st = s.state.load(std::memory_order_acquire);
-    while (st == kBusy) {
-      sched_yield();
-      st = s.state.load(std::memory_order_acquire);
-    }
-    if (st == kEmpty) {
-      return false;
-    }
-    if (st == kFull && s.key == key) {
-      if (!LockFull(&s)) {
-        return false;
-      }
-      if (s.key != key) {
-        s.state.store(kFull, std::memory_order_release);
-        continue;
-      }
-      s.pins.fetch_add(1, std::memory_order_relaxed);
-      if (out != nullptr) {
-        *out = s.value;
-      }
-      s.state.store(kFull, std::memory_order_release);
-      return true;
-    }
+  Slot* s = LockKey(key);
+  if (s == nullptr) {
+    return false;
   }
-  return false;
+  s->pins.fetch_add(1, std::memory_order_relaxed);
+  if (out != nullptr) {
+    *out = s->value;
+  }
+  s->state.store(kFull, std::memory_order_release);
+  return true;
 }
 
 bool ShmMap::Unpin(uint64_t key) {
-  uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
-  for (uint32_t i = 0; i <= mask_; ++i) {
-    Slot& s = slots()[(start + i) & mask_];
-    uint32_t st = s.state.load(std::memory_order_acquire);
-    while (st == kBusy) {
-      sched_yield();
-      st = s.state.load(std::memory_order_acquire);
-    }
-    if (st == kEmpty) {
-      return false;
-    }
-    if (st == kFull && s.key == key) {
-      if (!LockFull(&s)) {
-        return false;
-      }
-      if (s.key != key) {
-        s.state.store(kFull, std::memory_order_release);
-        continue;
-      }
-      assert(s.pins.load(std::memory_order_relaxed) > 0 && "unbalanced Unpin");
-      s.pins.fetch_sub(1, std::memory_order_relaxed);
-      s.state.store(kFull, std::memory_order_release);
-      return true;
-    }
+  Slot* s = LockKey(key);
+  if (s == nullptr) {
+    return false;
   }
-  return false;
+  assert(s->pins.load(std::memory_order_relaxed) > 0 && "unbalanced Unpin");
+  s->pins.fetch_sub(1, std::memory_order_relaxed);
+  s->state.store(kFull, std::memory_order_release);
+  return true;
 }
 
 ShmMap::ReplaceResult ShmMap::Replace(uint64_t key, const SliceDesc& value) {
-  uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
-  for (uint32_t i = 0; i <= mask_; ++i) {
-    Slot& s = slots()[(start + i) & mask_];
-    uint32_t st = s.state.load(std::memory_order_acquire);
-    while (st == kBusy) {
-      sched_yield();
-      st = s.state.load(std::memory_order_acquire);
-    }
-    if (st == kEmpty) {
-      return ReplaceResult::kAbsent;
-    }
-    if (st == kFull && s.key == key) {
-      if (!LockFull(&s)) {
-        return ReplaceResult::kAbsent;
-      }
-      if (s.key != key) {
-        s.state.store(kFull, std::memory_order_release);
-        continue;
-      }
-      if (s.pins.load(std::memory_order_relaxed) > 0) {
-        s.state.store(kFull, std::memory_order_release);
-        return ReplaceResult::kPinned;
-      }
-      uint64_t old_len = s.value.length;
-      s.value = value;
-      s.state.store(kFull, std::memory_order_release);
-      header_->bytes.fetch_add(value.length, std::memory_order_relaxed);
-      header_->bytes.fetch_sub(old_len, std::memory_order_relaxed);
-      return ReplaceResult::kReplaced;
-    }
+  Slot* s = LockKey(key);
+  if (s == nullptr) {
+    return ReplaceResult::kAbsent;
   }
-  return ReplaceResult::kAbsent;
+  if (s->pins.load(std::memory_order_relaxed) > 0) {
+    s->state.store(kFull, std::memory_order_release);
+    return ReplaceResult::kPinned;
+  }
+  uint64_t old_len = s->value.length;
+  s->value = value;
+  s->state.store(kFull, std::memory_order_release);
+  header_->bytes.fetch_add(value.length, std::memory_order_relaxed);
+  header_->bytes.fetch_sub(old_len, std::memory_order_relaxed);
+  return ReplaceResult::kReplaced;
 }
 
 bool ShmMap::Erase(uint64_t key) {
-  uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
-  for (uint32_t i = 0; i <= mask_; ++i) {
-    Slot& s = slots()[(start + i) & mask_];
-    uint32_t st = s.state.load(std::memory_order_acquire);
-    while (st == kBusy) {
-      sched_yield();
-      st = s.state.load(std::memory_order_acquire);
-    }
-    if (st == kEmpty) {
-      return false;
-    }
-    if (st == kFull && s.key == key) {
-      if (!LockFull(&s)) {
-        return false;
-      }
-      if (s.key != key) {
-        s.state.store(kFull, std::memory_order_release);
-        continue;
-      }
-      if (s.pins.load(std::memory_order_relaxed) > 0) {
-        s.state.store(kFull, std::memory_order_release);
-        return false;  // Pinned: a reader still references the payload.
-      }
-      uint64_t len = s.value.length;
-      s.state.store(kTomb, std::memory_order_release);
-      header_->size.fetch_sub(1, std::memory_order_release);
-      header_->bytes.fetch_sub(len, std::memory_order_relaxed);
-      header_->tombstones.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+  Slot* s = LockKey(key);
+  if (s == nullptr) {
+    return false;
   }
-  return false;
+  if (s->pins.load(std::memory_order_relaxed) > 0) {
+    s->state.store(kFull, std::memory_order_release);
+    return false;  // Pinned: a reader still references the payload.
+  }
+  uint64_t len = s->value.length;
+  s->state.store(kTomb, std::memory_order_release);
+  header_->size.fetch_sub(1, std::memory_order_release);
+  header_->bytes.fetch_sub(len, std::memory_order_relaxed);
+  header_->tombstones.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool ShmMap::EvictOne(uint64_t* evicted_key, SliceDesc* evicted_value) {
@@ -298,7 +233,7 @@ bool ShmMap::EvictOne(uint64_t* evicted_key, SliceDesc* evicted_value) {
       continue;
     }
     if (evicted_key != nullptr) {
-      *evicted_key = s.key;
+      *evicted_key = s.key.load(std::memory_order_relaxed);
     }
     if (evicted_value != nullptr) {
       *evicted_value = s.value;
@@ -322,7 +257,7 @@ int32_t ShmMap::PinsOf(uint64_t key) const {
     if (st == kEmpty) {
       return -1;
     }
-    if ((st == kFull || st == kBusy) && s.key == key) {
+    if ((st == kFull || st == kBusy) && s.key.load(std::memory_order_relaxed) == key) {
       return s.pins.load(std::memory_order_relaxed);
     }
   }

@@ -26,6 +26,7 @@
 #define SRC_IPC_SHM_MAP_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/ipc/shm_region.h"
@@ -51,11 +52,17 @@ class ShmMap {
   struct Slot {
     std::atomic<uint32_t> state;  // offset 0: kEmpty/kBusy/kFull/kTomb.
     std::atomic<int32_t> pins;    // offset 4.
-    uint64_t key;                 // offset 8.
+    // offset 8. Probes read it unlocked while Insert may be rewriting a
+    // reclaimed tombstone, so it is atomic; relaxed suffices because every
+    // match is re-checked under the slot lock.
+    std::atomic<uint64_t> key;
     SliceDesc value;              // offset 16.
     char pad[16];
   };
   static_assert(sizeof(Slot) == 64, "map slot layout is ABI");
+  static_assert(offsetof(Slot, key) == 8, "map slot layout is ABI");
+  static_assert(std::atomic<uint64_t>::is_always_lock_free,
+                "slot keys are shared across processes");
 
   static constexpr uint32_t kEmpty = 0;
   static constexpr uint32_t kBusy = 1;
@@ -113,6 +120,10 @@ class ShmMap {
   static constexpr uint32_t kMapMagic = 0x494f4c4d;  // "IOLM"
 
   static uint64_t Mix(uint64_t key);  // splitmix64 finalizer.
+
+  // Probes for `key` and returns its slot locked (kBusy); the caller
+  // releases it by storing kFull or kTomb. Null when the key is absent.
+  Slot* LockKey(uint64_t key) const;
 
   Slot* slots() const {
     return reinterpret_cast<Slot*>(reinterpret_cast<char*>(header_) + sizeof(MapHeader));

@@ -174,7 +174,7 @@ TEST_F(FsTest, CacheBytesTrackEntries) {
 
 TEST_F(FsTest, EnforceBudgetEvictsDownToBudget) {
   for (int i = 0; i < 10; ++i) {
-    FileId f = sys_.fs().CreateFile("f" + std::to_string(i), 10000);
+    FileId f = sys_.fs().CreateFile(std::string("f").append(std::to_string(i)), 10000);
     sys_.io().ReadExtent(f, 0, 10000);
   }
   EXPECT_EQ(sys_.cache().bytes(), 100000u);
@@ -305,7 +305,7 @@ TEST(PolicyTest, GdsRecencyBeatsSizeAfterAging) {
 
 TEST_F(FsTest, EvictionTriggerFiresOnIoPageMajority) {
   for (int i = 0; i < 4; ++i) {
-    FileId f = sys_.fs().CreateFile("t" + std::to_string(i), 4096);
+    FileId f = sys_.fs().CreateFile(std::string("t").append(std::to_string(i)), 4096);
     sys_.io().ReadExtent(f, 0, 4096);
   }
   EvictionTrigger trigger(&sys_.cache());
@@ -332,7 +332,7 @@ TEST_F(FsTest, CustomPolicyHookSwapsPolicies) {
   // Flash-Lite's customization: replace the default policy with GDS while
   // entries exist; the cache re-registers them.
   for (int i = 0; i < 3; ++i) {
-    FileId f = sys_.fs().CreateFile("c" + std::to_string(i), 1000 * (i + 1));
+    FileId f = sys_.fs().CreateFile(std::string("c").append(std::to_string(i)), 1000 * (i + 1));
     sys_.io().ReadExtent(f, 0, 1000 * (i + 1));
   }
   sys_.cache().SetPolicy(std::make_unique<GreedyDualSizePolicy>());

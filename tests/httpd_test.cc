@@ -271,7 +271,7 @@ TEST(DriverTest, CacheBudgetEnforcementEvictsUnderPressure) {
   System sys(options);
   std::vector<FileId> files;
   for (int i = 0; i < 100; ++i) {
-    files.push_back(sys.fs().CreateFile("f" + std::to_string(i), 256 * 1024));
+    files.push_back(sys.fs().CreateFile(std::string("f").append(std::to_string(i)), 256 * 1024));
   }
   FlashServer flash(&sys.ctx(), &sys.net(), &sys.io());
   ExperimentConfig config;

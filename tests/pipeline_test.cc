@@ -371,7 +371,7 @@ TEST(OverlapTest, ColdCacheRunOverlapsDiskCpuAndWire) {
   System sys;
   std::vector<FileId> files;
   for (int i = 0; i < 64; ++i) {
-    files.push_back(sys.fs().CreateFile("f" + std::to_string(i), 64 * 1024));
+    files.push_back(sys.fs().CreateFile(std::string("f").append(std::to_string(i)), 64 * 1024));
   }
   FlashServer flash(&sys.ctx(), &sys.net(), &sys.io());
   ExperimentConfig config;
@@ -399,7 +399,7 @@ TEST(OverlapTest, SingleClientCannotOverlapItself) {
   System sys;
   std::vector<FileId> files;
   for (int i = 0; i < 16; ++i) {
-    files.push_back(sys.fs().CreateFile("f" + std::to_string(i), 64 * 1024));
+    files.push_back(sys.fs().CreateFile(std::string("f").append(std::to_string(i)), 64 * 1024));
   }
   FlashServer flash(&sys.ctx(), &sys.net(), &sys.io());
   ExperimentConfig config;

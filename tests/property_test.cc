@@ -93,8 +93,8 @@ TEST_P(CacheBudgetTest, NeverExceedsBudgetAfterEnforce) {
   iolsim::Rng rng(GetParam());
   std::vector<FileId> files;
   for (int i = 0; i < 40; ++i) {
-    files.push_back(
-        sys.fs().CreateFile("f" + std::to_string(i), 1024 + rng.NextBelow(64 * 1024)));
+    files.push_back(sys.fs().CreateFile(std::string("f").append(std::to_string(i)),
+                                        1024 + rng.NextBelow(64 * 1024)));
   }
   uint64_t budget = 128 * 1024;
   for (int step = 0; step < 500; ++step) {
