@@ -1,11 +1,12 @@
 // Microbenchmarks for the core IO-Lite mechanisms (host-time measurements
 // of the library itself, via google-benchmark): aggregate algebra, buffer
-// pool allocation/recycling, checksum computation and cache hits.
+// pool allocation/recycling, DMA fills, checksum computation and cache hits.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "src/fs/sim_file_system.h"
 #include "src/iolite/aggregate.h"
 #include "src/iolite/buffer_pool.h"
 #include "src/net/checksum.h"
@@ -78,6 +79,40 @@ void BM_PoolAllocateRecycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PoolAllocateRecycle)->Arg(256)->Arg(4096)->Arg(65536);
+
+// The NIC fill of a proxy's fetched object: the buffer recycles each round,
+// so the row times the xorshift fill itself.
+void BM_DmaFill(benchmark::State& state) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "bm", iolsim::kKernelDomain);
+  size_t n = state.range(0);
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    iolite::BufferRef b = pool.AllocateDma(seed++, n);
+    benchmark::DoNotOptimize(b->data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DmaFill)->Arg(1460)->Arg(16384)->Arg(65536);
+
+// A disk read's DMA fill of synthetic file content (disk time is simulated,
+// not spent), at a different offset each round.
+void BM_DiskFill(benchmark::State& state) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "bm", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &pool);
+  size_t n = state.range(0);
+  iolfs::FileId f = fs.CreateFile("bm", 16 * n);
+  uint64_t round = 0;
+  for (auto _ : state) {
+    iolite::BufferRef b = fs.ReadFromDisk(f, (round++ % 15) * n + 1, n);
+    benchmark::DoNotOptimize(b->data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DiskFill)->Arg(1460)->Arg(16384)->Arg(65536);
 
 void BM_ChecksumCold(benchmark::State& state) {
   iolsim::SimContext ctx;

@@ -7,6 +7,143 @@
 
 namespace iolite {
 
+namespace {
+
+// AllocateDma's pattern is the xorshift64 (13, 7, 17) stream seeded from the
+// pattern seed: byte i is byte i % 8 of the state after step i + 1. Steps
+// in place so one body serves a scalar state and a vector of lanes.
+template <typename T>
+constexpr void XorshiftStep(T& x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+}
+
+// A 64x64 matrix over GF(2), stored by column: M x = XOR of col[j] over the
+// set bits j of x.
+struct Gf2Matrix {
+  uint64_t col[64];
+};
+
+// M x, for building the jump table at compile time.
+constexpr uint64_t Apply(const Gf2Matrix& m, uint64_t x) {
+  uint64_t r = 0;
+  for (int j = 0; j < 64; ++j) {
+    r ^= m.col[j] & (0 - ((x >> j) & 1));
+  }
+  return r;
+}
+
+// xorshift64 is linear over GF(2): with S its one-step matrix, the state
+// s steps on is S^s x. kWordJump[k] = S^(8 * 2^k), one table entry per bit
+// of a jump counted in 8-byte words; 8 KB, computed at compile time.
+constexpr int kWordJumpBits = 16;
+
+struct WordJumpTable {
+  Gf2Matrix pow[kWordJumpBits];
+};
+
+constexpr WordJumpTable MakeWordJumpTable() {
+  WordJumpTable t{};
+  Gf2Matrix m{};
+  for (int j = 0; j < 64; ++j) {
+    uint64_t x = uint64_t{1} << j;
+    for (int s = 0; s < 8; ++s) {
+      XorshiftStep(x);
+    }
+    m.col[j] = x;
+  }
+  for (int k = 0; k < kWordJumpBits; ++k) {
+    t.pow[k] = m;
+    Gf2Matrix squared{};
+    for (int j = 0; j < 64; ++j) {
+      squared.col[j] = Apply(m, m.col[j]);
+    }
+    m = squared;
+  }
+  return t;
+}
+
+constexpr WordJumpTable kWordJump = MakeWordJumpTable();
+
+// The fill runs kLanes copies of the generator side by side, one per
+// equal segment of whole words; each lane starts at its segment by a jump.
+// Since segments start on word boundaries, the byte phase i % 8 is the same
+// in every lane, so eight steps pack one word per lane. On a little-endian
+// host (as checksum.cc assumes) the word's byte j is the state's byte j.
+constexpr int kLanes = 8;
+typedef uint64_t LaneVector __attribute__((vector_size(8 * kLanes)));
+// Below this many words per lane the jumps cost more than the lanes save
+// in the portable build.
+constexpr size_t kMinLaneWords = 4;
+
+// M x at run time: the same sum as Apply, eight columns per vector step.
+inline uint64_t ApplyByLanes(const Gf2Matrix& m, uint64_t x) {
+  const LaneVector bit = {0, 1, 2, 3, 4, 5, 6, 7};
+  const LaneVector xs = LaneVector{} + x;
+  LaneVector sum = {};
+  for (int j = 0; j < 64; j += kLanes) {
+    LaneVector col;
+    std::memcpy(&col, &m.col[j], sizeof(col));
+    sum ^= col & -((xs >> (bit + j)) & 1);
+  }
+  uint64_t r = 0;
+  for (int k = 0; k < kLanes; ++k) {
+    r ^= sum[k];
+  }
+  return r;
+}
+
+// Advances state `x` by 8 * `words` steps: one matrix product per set bit,
+// and the largest power repeated for jumps beyond the table.
+inline uint64_t JumpWords(uint64_t x, size_t words) {
+  for (int k = 0; words != 0; ++k, words >>= 1) {
+    if (k == kWordJumpBits - 1) {
+      for (; words != 0; --words) {
+        x = ApplyByLanes(kWordJump.pow[k], x);
+      }
+      break;
+    }
+    if (words & 1) {
+      x = ApplyByLanes(kWordJump.pow[k], x);
+    }
+  }
+  return x;
+}
+
+IOLITE_DMA_FILL_KERNEL
+void FillXorshift(uint64_t x, char* dst, size_t n) {
+  const size_t words = n / (8 * kLanes);
+  size_t i = 0;
+  if (words >= kMinLaneWords) {
+    LaneVector lane = {};
+    lane[0] = x;
+    for (int k = 1; k < kLanes; ++k) {
+      lane[k] = JumpWords(lane[k - 1], words);
+    }
+    for (size_t w = 0; w < words; ++w) {
+      LaneVector packed = {};
+      for (int j = 0; j < 8; ++j) {
+        XorshiftStep(lane);
+        packed |= lane & (uint64_t{0xff} << (8 * j));
+      }
+      for (int k = 0; k < kLanes; ++k) {
+        const uint64_t word = packed[k];
+        std::memcpy(dst + 8 * (k * words + w), &word, 8);
+      }
+    }
+    x = lane[kLanes - 1];
+    i = kLanes * words * 8;
+  }
+  // The tail (and small fills) continue serially from the last lane.
+  for (; i < n; ++i) {
+    XorshiftStep(x);
+    dst[i] = static_cast<char>((x >> (8 * (i % 8))) & 0xff);
+  }
+}
+
+}  // namespace
+
 std::atomic<uint64_t> BufferPool::next_pool_seed_{1};
 
 void Buffer::Seal(size_t filled) {
@@ -144,14 +281,7 @@ BufferRef BufferPool::AllocateDma(uint64_t pattern_seed, size_t n) {
   BufferRef buffer = Allocate(n);
   // Deterministic content so checksums and tests are meaningful, filled
   // without CPU charge (DMA).
-  char* dst = buffer->writable_data();
-  uint64_t x = pattern_seed * 0x9e3779b97f4a7c15ull + 1;
-  for (size_t i = 0; i < n; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    dst[i] = static_cast<char>((x >> (8 * (i % 8))) & 0xff);
-  }
+  FillXorshift(pattern_seed * 0x9e3779b97f4a7c15ull + 1, buffer->writable_data(), n);
   buffer->Seal(n);
   return buffer;
 }

@@ -22,8 +22,7 @@ MpmcQueue MpmcQueue::Create(ShmRegion* region, ShmTable* table, const char* name
   for (uint32_t i = 0; i < capacity; ++i) {
     q.cells_[i].seq.store(i, std::memory_order_relaxed);
   }
-  std::atomic_thread_fence(std::memory_order_release);
-  q.state_->magic = kQueueMagic;
+  std::atomic_ref<uint32_t>(q.state_->magic).store(kQueueMagic, std::memory_order_release);
   if (table != nullptr && !table->Publish(name, region->OffsetOf(base), span,
                                           ShmType::kQueue)) {
     return MpmcQueue{};
@@ -38,7 +37,9 @@ MpmcQueue MpmcQueue::Attach(ShmRegion* region, const ShmTable& table, const char
     return q;
   }
   auto* state = reinterpret_cast<QueueState*>(region->At(e->offset));
-  if (state->magic != kQueueMagic || state->capacity == 0 ||
+  const uint32_t magic =
+      std::atomic_ref<uint32_t>(state->magic).load(std::memory_order_acquire);
+  if (magic != kQueueMagic || state->capacity == 0 ||
       (state->capacity & (state->capacity - 1)) != 0) {
     return q;
   }

@@ -77,8 +77,7 @@ class ShmCounters {
     std::memset(base, 0, span);
     c.header_ = reinterpret_cast<CountersHeader*>(base);
     c.header_->count = kCounterCount;
-    std::atomic_thread_fence(std::memory_order_release);
-    c.header_->magic = kCountersMagic;
+    std::atomic_ref<uint32_t>(c.header_->magic).store(kCountersMagic, std::memory_order_release);
     if (table != nullptr &&
         !table->Publish(name, region->OffsetOf(base), span, ShmType::kCounters)) {
       return ShmCounters{};
@@ -94,7 +93,9 @@ class ShmCounters {
       return c;
     }
     auto* header = reinterpret_cast<CountersHeader*>(region->At(e->offset));
-    if (header->magic != kCountersMagic || header->count == 0) {
+    const uint32_t magic =
+        std::atomic_ref<uint32_t>(header->magic).load(std::memory_order_acquire);
+    if (magic != kCountersMagic || header->count == 0) {
       return c;
     }
     c.header_ = header;

@@ -33,8 +33,7 @@ ShmFuturePool ShmFuturePool::Create(ShmRegion* region, ShmTable* table,
   pool.region_ = region;
   pool.header_ = reinterpret_cast<PoolHeader*>(base);
   pool.header_->capacity = capacity;
-  std::atomic_thread_fence(std::memory_order_release);
-  pool.header_->magic = kFutureMagic;
+  std::atomic_ref<uint32_t>(pool.header_->magic).store(kFutureMagic, std::memory_order_release);
   if (table != nullptr &&
       !table->Publish(name, region->OffsetOf(base), span, ShmType::kFutures)) {
     return ShmFuturePool{};
@@ -50,7 +49,9 @@ ShmFuturePool ShmFuturePool::Attach(ShmRegion* region, const ShmTable& table,
     return pool;
   }
   auto* header = reinterpret_cast<PoolHeader*>(region->At(e->offset));
-  if (header->magic != kFutureMagic || header->capacity == 0) {
+  const uint32_t magic =
+      std::atomic_ref<uint32_t>(header->magic).load(std::memory_order_acquire);
+  if (magic != kFutureMagic || header->capacity == 0) {
     return pool;
   }
   pool.region_ = region;

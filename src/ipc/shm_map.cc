@@ -51,8 +51,7 @@ ShmMap ShmMap::Create(ShmRegion* region, ShmTable* table, const char* name,
   map.header_ = reinterpret_cast<MapHeader*>(base);
   map.mask_ = capacity - 1;
   map.header_->capacity = capacity;
-  std::atomic_thread_fence(std::memory_order_release);
-  map.header_->magic = kMapMagic;
+  std::atomic_ref<uint32_t>(map.header_->magic).store(kMapMagic, std::memory_order_release);
   if (table != nullptr &&
       !table->Publish(name, region->OffsetOf(base), span, ShmType::kMap)) {
     return ShmMap{};
@@ -67,7 +66,9 @@ ShmMap ShmMap::Attach(ShmRegion* region, const ShmTable& table, const char* name
     return map;
   }
   auto* header = reinterpret_cast<MapHeader*>(region->At(e->offset));
-  if (header->magic != kMapMagic || header->capacity == 0 ||
+  const uint32_t magic =
+      std::atomic_ref<uint32_t>(header->magic).load(std::memory_order_acquire);
+  if (magic != kMapMagic || header->capacity == 0 ||
       (header->capacity & (header->capacity - 1)) != 0) {
     return map;
   }

@@ -21,8 +21,7 @@ ShmTable ShmTable::Create(ShmRegion* region, uint32_t capacity) {
   table.header_->count.store(0, std::memory_order_relaxed);
   // The magic is published last: an attacher that sees it sees a zeroed,
   // sized directory.
-  std::atomic_thread_fence(std::memory_order_release);
-  table.header_->magic = kTableMagic;
+  std::atomic_ref<uint32_t>(table.header_->magic).store(kTableMagic, std::memory_order_release);
   return table;
 }
 
@@ -32,7 +31,9 @@ ShmTable ShmTable::Attach(ShmRegion* region) {
     return table;
   }
   auto* header = reinterpret_cast<TableHeader*>(region->At(0));
-  if (header->magic != kTableMagic || header->capacity == 0 ||
+  const uint32_t magic =
+      std::atomic_ref<uint32_t>(header->magic).load(std::memory_order_acquire);
+  if (magic != kTableMagic || header->capacity == 0 ||
       sizeof(TableHeader) + static_cast<size_t>(header->capacity) * sizeof(Entry) >
           region->size()) {
     return table;

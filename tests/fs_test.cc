@@ -82,6 +82,53 @@ TEST_F(FsTest, OverlappingWritesLastWins) {
   EXPECT_EQ(std::string(b->data(), 15), "aaaaabbbbbbbbbb");
 }
 
+// The synthetic content formula, one SplitMix64 mix per byte: byte `offset`
+// of a file with seed `seed` is the low byte of mix(seed + offset * gamma).
+uint8_t ReferenceSynthByte(uint64_t seed, uint64_t offset) {
+  uint64_t z = seed + offset * 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return static_cast<uint8_t>((z ^ (z >> 31)) & 0xff);
+}
+
+TEST_F(FsTest, ContentMatchesSynthFormula) {
+  FileId f = sys_.fs().CreateFile("a", 4096);
+  // CreateFile's per-file seed for the first file (id 1).
+  const uint64_t seed = 0x5851f42d4c957f2dull * 1 + 0x14057b7ef767814full;
+  ASSERT_EQ(f, 1);
+  for (uint64_t off = 0; off < 4096; off += 37) {
+    ASSERT_EQ(sys_.fs().ContentByteAt(f, off), ReferenceSynthByte(seed, off)) << off;
+  }
+}
+
+TEST_F(FsTest, DiskReadMatchesContentByteAt) {
+  const uint64_t size = 70001;
+  FileId f = sys_.fs().CreateFile("a", size);
+  auto check = [&](uint64_t offset, size_t length) {
+    iolite::BufferRef b = sys_.fs().ReadFromDisk(f, offset, length);
+    ASSERT_TRUE(std::string(b->data(), length) ==
+                ioltest::FileContent(sys_.fs(), f, offset, length))
+        << "offset " << offset << " length " << length;
+  };
+  for (uint64_t offset : {0, 1, 3, 7, 8, 4093, 65535}) {
+    for (size_t length : {1, 5, 8, 9, 15, 17, 1461, 4097}) {
+      check(offset, length);
+    }
+  }
+  // Overlay runs inside the read, straddling its start and straddling its
+  // end, around the read [1001, 1001 + 3001).
+  auto* pool = sys_.runtime().kernel_pool();
+  sys_.fs().WriteToDisk(f, 990, ioltest::AggFrom(pool, std::string(23, 'S')));
+  sys_.fs().WriteToDisk(f, 2003, ioltest::AggFrom(pool, std::string(101, 'I')));
+  sys_.fs().WriteToDisk(f, 2999, ioltest::AggFrom(pool, "i"));
+  sys_.fs().WriteToDisk(f, 3990, ioltest::AggFrom(pool, std::string(31, 'E')));
+  check(1001, 3001);
+  check(1012, 1);     // Last byte of the straddling-start run.
+  check(1013, 990);   // Just past that run, up to the inner run's start.
+  check(2104, 1887);  // Starts at the inner run's end, ends inside the last run.
+  check(0, size);
+}
+
 TEST_F(FsTest, WriteExtendsFile) {
   FileId f = sys_.fs().CreateFile("a", 10);
   auto* pool = sys_.runtime().kernel_pool();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/iolite/buffer_pool.h"
 #include "src/iolite/runtime.h"
@@ -149,6 +150,43 @@ TEST_F(BufferTest, DmaContentDeterministicPerSeed) {
   BufferRef c = pool_.AllocateDma(8, 256);
   EXPECT_EQ(std::memcmp(a->data(), b->data(), 256), 0);
   EXPECT_NE(std::memcmp(a->data(), c->data(), 256), 0);
+}
+
+// The DMA pattern as one serial xorshift64 (13, 7, 17) step per byte: byte i
+// is byte i % 8 of the state after step i + 1. AllocateDma fills in jumped
+// lanes; it must write exactly these bytes.
+std::string ReferenceDmaFill(uint64_t seed, size_t n) {
+  std::string out(n, '\0');
+  uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
+  for (size_t i = 0; i < n; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    out[i] = static_cast<char>((x >> (8 * (i % 8))) & 0xff);
+  }
+  return out;
+}
+
+TEST_F(BufferTest, DmaFillMatchesSerialReference) {
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 300; ++n) {
+    sizes.push_back(n);
+  }
+  for (size_t n : {4095, 4096, 16384, 16387, 37888, 65541, 1 << 20}) {
+    sizes.push_back(n);
+  }
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{7}, ~uint64_t{0}}) {
+    for (size_t n : sizes) {
+      BufferRef b = pool_.AllocateDma(seed, n);
+      ASSERT_EQ(b->size(), n);
+      ASSERT_TRUE(std::string(b->data(), n) == ReferenceDmaFill(seed, n))
+          << "seed " << seed << " n " << n;
+    }
+  }
+  // Lanes of 2^16 words and more jump past the table's largest power.
+  const size_t huge = (size_t{5} << 20) + 3;
+  BufferRef b = pool_.AllocateDma(3, huge);
+  EXPECT_TRUE(std::string(b->data(), huge) == ReferenceDmaFill(3, huge));
 }
 
 // Untrusted producers pay write-permission toggling; the kernel does not.
