@@ -15,15 +15,7 @@ void FileCache::SetPartitions(const iolqos::CachePlan* plan) {
   plan_ = plan;
   if (plan == nullptr) {
     shares_.clear();
-    lru_pos_.clear();
   }
-}
-
-void FileCache::TouchTenantLru(EntryId id) {
-  auto pos = lru_pos_.find(id);
-  assert(pos != lru_pos_.end());
-  std::list<EntryId>& lru = shares_[entries_.at(id).tenant].lru;
-  lru.splice(lru.end(), lru, pos->second);
 }
 
 EntryId FileCache::PartitionVictim() const {
@@ -48,13 +40,7 @@ EntryId FileCache::PartitionVictim() const {
   if (victim_tenant == shares_.size()) {
     return kNoEntry;
   }
-  const std::list<EntryId>& lru = shares_[victim_tenant].lru;
-  for (EntryId id : lru) {
-    if (!IsReferenced(id)) {
-      return id;
-    }
-  }
-  return lru.front();
+  return OldestUnreferenced(shares_[victim_tenant].lru, *this);
 }
 
 void FileCache::SetPolicy(std::unique_ptr<ReplacementPolicy> policy) {
@@ -113,7 +99,8 @@ std::optional<iolite::Aggregate> FileCache::Lookup(FileId file, uint64_t offset,
     out.AppendRange(entry.data, from - run_begin, to - from);
     policy_->OnAccess(it->second);
     if (plan_ != nullptr) {
-      TouchTenantLru(it->second);
+      [[maybe_unused]] bool found = shares_[entry.tenant].lru.Find(it->second) != nullptr;
+      assert(found);
     }
   }
   assert(out.size() == length);
@@ -185,7 +172,7 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
       }
       TenantShare& share = shares_[owner];
       share.bytes += sz;
-      lru_pos_[id] = share.lru.insert(share.lru.end(), id);
+      share.lru.Touch(id);
     }
     if (mirror_ != nullptr) {
       mirror_->OnInsert(file, off, entries_.at(id).data);
@@ -293,12 +280,10 @@ void FileCache::EraseEntry(EntryId id) {
   }
   bytes_ -= it->second.data.size();
   if (plan_ != nullptr) {
-    auto pos = lru_pos_.find(id);
-    assert(pos != lru_pos_.end());
     TenantShare& share = shares_[it->second.tenant];
     share.bytes -= it->second.data.size();
-    share.lru.erase(pos->second);
-    lru_pos_.erase(pos);
+    [[maybe_unused]] bool erased = share.lru.Erase(id);
+    assert(erased);
   }
   for (const iolite::Slice& s : it->second.data.slices()) {
     auto rit = cache_refs_.find(s.buffer().get());

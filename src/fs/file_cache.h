@@ -24,7 +24,6 @@
 #define SRC_FS_FILE_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -35,6 +34,7 @@
 #include "src/fs/sim_file_system.h"
 #include "src/iolite/aggregate.h"
 #include "src/qos/tenant.h"
+#include "src/simos/lru.h"
 #include "src/simos/sim_context.h"
 
 namespace iolqos {
@@ -191,13 +191,12 @@ class FileCache : public CacheView {
   // partitioned (SetPartitions).
   struct TenantShare {
     uint64_t bytes = 0;
-    std::list<EntryId> lru;  // Front = least recently used.
+    iolsim::LruList<EntryId> lru;
   };
 
   void EraseEntry(EntryId id);
   // The partitioned victim: LRU entry of the most-over-reservation tenant.
   EntryId PartitionVictim() const;
-  void TouchTenantLru(EntryId id);
   // Counts one lookup into the routed aggregate counters and, when a QoS
   // policy is attached, the active tenant's per-tier block + stage hooks.
   void CountLookup(bool hit);
@@ -222,7 +221,6 @@ class FileCache : public CacheView {
   bool qos_proxy_tier_ = false;
   const iolqos::CachePlan* plan_ = nullptr;
   std::vector<TenantShare> shares_;
-  std::unordered_map<EntryId, std::list<EntryId>::iterator> lru_pos_;
 };
 
 // Models the Section 3.7 trigger: the VM pageout daemon reports each page

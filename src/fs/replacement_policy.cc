@@ -4,63 +4,34 @@
 
 namespace iolfs {
 
-// --- PaperLruPolicy ---------------------------------------------------------
+// --- PlainLruPolicy / PaperLruPolicy ----------------------------------------
 
-void PaperLruPolicy::OnInsert(EntryId id, size_t /*bytes*/) {
-  lru_.push_back(id);
-  index_[id] = std::prev(lru_.end());
+void PlainLruPolicy::OnInsert(EntryId id, size_t /*bytes*/) { lru_.Touch(id); }
+
+void PlainLruPolicy::OnAccess(EntryId id) {
+  [[maybe_unused]] bool found = lru_.Find(id) != nullptr;
+  assert(found);
 }
 
-void PaperLruPolicy::OnAccess(EntryId id) {
-  auto it = index_.find(id);
-  assert(it != index_.end());
-  lru_.splice(lru_.end(), lru_, it->second);
-}
+void PlainLruPolicy::OnErase(EntryId id) { lru_.Erase(id); }
 
-void PaperLruPolicy::OnErase(EntryId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) {
-    return;
-  }
-  lru_.erase(it->second);
-  index_.erase(it);
+EntryId PlainLruPolicy::ChooseVictim(const CacheView& /*view*/) {
+  return lru_.empty() ? kNoEntry : *lru_.begin();
 }
 
 EntryId PaperLruPolicy::ChooseVictim(const CacheView& view) {
+  return OldestUnreferenced(lru_, view);
+}
+
+EntryId OldestUnreferenced(const iolsim::LruList<EntryId>& lru, const CacheView& view) {
   // Least recently used among currently unreferenced entries...
-  for (EntryId id : lru_) {
+  for (EntryId id : lru) {
     if (!view.IsReferenced(id)) {
       return id;
     }
   }
   // ...else least recently used among the referenced entries.
-  return lru_.empty() ? kNoEntry : lru_.front();
-}
-
-// --- PlainLruPolicy ---------------------------------------------------------
-
-void PlainLruPolicy::OnInsert(EntryId id, size_t /*bytes*/) {
-  lru_.push_back(id);
-  index_[id] = std::prev(lru_.end());
-}
-
-void PlainLruPolicy::OnAccess(EntryId id) {
-  auto it = index_.find(id);
-  assert(it != index_.end());
-  lru_.splice(lru_.end(), lru_, it->second);
-}
-
-void PlainLruPolicy::OnErase(EntryId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) {
-    return;
-  }
-  lru_.erase(it->second);
-  index_.erase(it);
-}
-
-EntryId PlainLruPolicy::ChooseVictim(const CacheView& /*view*/) {
-  return lru_.empty() ? kNoEntry : lru_.front();
+  return lru.empty() ? kNoEntry : *lru.begin();
 }
 
 // --- GreedyDualSizePolicy ---------------------------------------------------

@@ -19,12 +19,12 @@
 #define SRC_FS_REPLACEMENT_POLICY_H_
 
 #include <cstdint>
-#include <list>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "src/simos/lru.h"
 #include "src/simos/pool_allocator.h"
 
 namespace iolfs {
@@ -54,25 +54,6 @@ class ReplacementPolicy {
   virtual EntryId ChooseVictim(const CacheView& view) = 0;
 };
 
-// Section 3.7 policy.
-class PaperLruPolicy : public ReplacementPolicy {
- public:
-  const char* name() const override { return "paper-lru"; }
-  void OnInsert(EntryId id, size_t bytes) override;
-  void OnAccess(EntryId id) override;
-  void OnErase(EntryId id) override;
-  EntryId ChooseVictim(const CacheView& view) override;
-
- private:
-  // Front = least recently used. Pool-allocated nodes: insert/erase churn
-  // (cache misses, evictions) recycles instead of hitting the heap.
-  using LruList = std::list<EntryId, iolsim::PoolAllocator<EntryId>>;
-  LruList lru_;
-  std::unordered_map<EntryId, LruList::iterator, std::hash<EntryId>, std::equal_to<EntryId>,
-                     iolsim::PoolAllocator<std::pair<const EntryId, LruList::iterator>>>
-      index_;
-};
-
 // Classic LRU ignoring the reference state.
 class PlainLruPolicy : public ReplacementPolicy {
  public:
@@ -82,13 +63,21 @@ class PlainLruPolicy : public ReplacementPolicy {
   void OnErase(EntryId id) override;
   EntryId ChooseVictim(const CacheView& view) override;
 
- private:
-  using LruList = std::list<EntryId, iolsim::PoolAllocator<EntryId>>;
-  LruList lru_;
-  std::unordered_map<EntryId, LruList::iterator, std::hash<EntryId>, std::equal_to<EntryId>,
-                     iolsim::PoolAllocator<std::pair<const EntryId, LruList::iterator>>>
-      index_;
+ protected:
+  iolsim::LruList<EntryId> lru_;
 };
+
+// Section 3.7 policy: the same recency order, a reference-aware victim.
+class PaperLruPolicy : public PlainLruPolicy {
+ public:
+  const char* name() const override { return "paper-lru"; }
+  EntryId ChooseVictim(const CacheView& view) override;
+};
+
+// The oldest entry of `lru` that `view` reports unreferenced, else the
+// oldest entry, else kNoEntry. Shared by PaperLruPolicy and the file
+// cache's per-tenant partitions.
+EntryId OldestUnreferenced(const iolsim::LruList<EntryId>& lru, const CacheView& view);
 
 // Greedy Dual Size with uniform miss cost (GDS(1)).
 class GreedyDualSizePolicy : public ReplacementPolicy {

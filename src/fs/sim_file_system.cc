@@ -44,21 +44,6 @@ void FillSynth(uint64_t z, char* dst, size_t n) {
 
 }  // namespace
 
-bool SimFileSystem::MetadataCache::Touch(FileId file) {
-  auto it = index_.find(file);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;
-  }
-  if (lru_.size() >= slots_) {
-    index_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(file);
-  index_[file] = lru_.begin();
-  return false;
-}
-
 FileId SimFileSystem::CreateFile(const std::string& name, uint64_t size) {
   FileId id = next_file_++;
   File& f = files_[id];
@@ -82,7 +67,10 @@ uint64_t SimFileSystem::SizeOf(FileId file) const {
 }
 
 void SimFileSystem::TouchMetadata(FileId file) {
-  if (!metadata_cache_.Touch(file)) {
+  if (metadata_cache_.Touch(file).second) {
+    if (metadata_cache_.size() > kMetadataCacheSlots) {
+      metadata_cache_.PopOldest();
+    }
     // Inode block read: one small disk access.
     ctx_->ChargeDisk(ctx_->cost().DiskAccessCost(512));
     ctx_->stats().disk_reads++;
@@ -149,6 +137,9 @@ void SimFileSystem::WriteToDisk(FileId file, uint64_t offset, const iolite::Aggr
   if (offset + length > f.size) {
     total_bytes_ += offset + length - f.size;
     f.size = offset + length;
+  }
+  if (length == 0) {
+    return;  // Nothing to fold; an empty run would shadow the overlay.
   }
 
   // Fold the bytes into the overlay. Remove or trim overlapped runs first.

@@ -15,7 +15,6 @@
 #define SRC_FS_SIM_FILE_SYSTEM_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -23,6 +22,7 @@
 
 #include "src/iolite/aggregate.h"
 #include "src/iolite/buffer_pool.h"
+#include "src/simos/lru.h"
 #include "src/simos/sim_context.h"
 
 namespace iolfs {
@@ -34,7 +34,7 @@ class SimFileSystem {
  public:
   // `pool` is the pool disk DMA fills (normally the kernel pool).
   SimFileSystem(iolsim::SimContext* ctx, iolite::BufferPool* pool)
-      : ctx_(ctx), pool_(pool), metadata_cache_(kMetadataCacheSlots) {}
+      : ctx_(ctx), pool_(pool) {}
 
   SimFileSystem(const SimFileSystem&) = delete;
   SimFileSystem& operator=(const SimFileSystem&) = delete;
@@ -76,26 +76,14 @@ class SimFileSystem {
     std::map<uint64_t, std::string> overlay;
   };
 
-  // LRU set of file ids whose metadata is resident.
-  class MetadataCache {
-   public:
-    explicit MetadataCache(size_t slots) : slots_(slots) {}
-    // Returns true on hit; on miss, inserts (evicting LRU).
-    bool Touch(FileId file);
-
-   private:
-    size_t slots_;
-    std::list<FileId> lru_;
-    std::unordered_map<FileId, std::list<FileId>::iterator> index_;
-  };
-
   iolsim::SimContext* ctx_;
   iolite::BufferPool* pool_;
   std::unordered_map<FileId, File> files_;
   std::unordered_map<std::string, FileId> by_name_;
   FileId next_file_ = 1;
   uint64_t total_bytes_ = 0;
-  MetadataCache metadata_cache_;
+  // File ids whose metadata is resident, at most kMetadataCacheSlots.
+  iolsim::LruList<FileId> metadata_cache_;
 };
 
 }  // namespace iolfs

@@ -45,47 +45,33 @@ uint32_t ChecksumSwap(uint32_t sum) {
 }
 
 bool ChecksumCache::Lookup(const Key& key, uint32_t* sum) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  const uint32_t* cached = lru_.Find(key);
+  if (cached == nullptr) {
     return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second.second);
-  *sum = it->second.first;
+  *sum = *cached;
   return true;
 }
 
 void ChecksumCache::Store(const Key& key, uint32_t sum) {
   // One hash probe for both the update and insert cases (fresh generation
-  // keys make this the hot path); eviction past capacity lands on the same
-  // LRU victim whether it runs before or after the insert.
-  auto [it, inserted] = map_.try_emplace(key, sum, LruList::iterator{});
-  if (!inserted) {
-    it->second.first = sum;
-    lru_.splice(lru_.begin(), lru_, it->second.second);
-    return;
-  }
-  lru_.push_front(key);
-  it->second.second = lru_.begin();
-  if (map_.size() > capacity_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
+  // keys make this the hot path).
+  auto [cached, inserted] = lru_.Touch(key);
+  cached = sum;
+  if (inserted && lru_.size() > capacity_) {
+    lru_.PopOldest();
   }
 }
 
-void ChecksumCache::Clear() {
-  map_.clear();
-  lru_.clear();
-}
+void ChecksumCache::Clear() { lru_.clear(); }
 
 uint16_t ChecksumModule::Checksum(const iolite::Aggregate& agg) {
   uint32_t total = 0;
   uint64_t position = 0;  // Byte offset within the message so far.
   for (const iolite::Slice& s : agg.slices()) {
     uint32_t partial = 0;
-    bool from_cache = false;
     ChecksumCache::Key key{s.buffer()->id(), s.buffer()->generation(), s.offset(), s.length()};
     if (cache_enabled_ && cache_.Lookup(key, &partial)) {
-      from_cache = true;
       ctx_->stats().checksum_cache_hits++;
     } else {
       partial = ChecksumAccumulate(s.data(), s.length());
@@ -97,7 +83,6 @@ uint16_t ChecksumModule::Checksum(const iolite::Aggregate& agg) {
         ctx_->stats().checksum_cache_misses++;
       }
     }
-    (void)from_cache;
     // Slices at odd message offsets contribute byte-swapped.
     total += (position % 2 == 0) ? partial : ChecksumSwap(partial);
     position += s.length();

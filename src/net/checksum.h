@@ -15,12 +15,9 @@
 #define SRC_NET_CHECKSUM_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <utility>
 
 #include "src/iolite/aggregate.h"
-#include "src/simos/pool_allocator.h"
+#include "src/simos/lru.h"
 #include "src/simos/sim_context.h"
 
 namespace iolnet {
@@ -36,10 +33,10 @@ uint16_t ChecksumFold(uint32_t sum);
 // byte offset within the surrounding message.
 uint32_t ChecksumSwap(uint32_t sum);
 
-// LRU-bounded cache of per-slice partial checksums. List and map nodes come
-// from freelist pools: at capacity, every Store recycles the evicted
-// entry's nodes, so the steady state (one fresh header generation per
-// transmission) runs without heap traffic.
+// LRU-bounded cache of per-slice partial checksums. LruList nodes come from
+// freelist pools: at capacity, every Store recycles the evicted entry's
+// nodes, so the steady state (one fresh header generation per transmission)
+// runs without heap traffic.
 class ChecksumCache {
  public:
   explicit ChecksumCache(size_t capacity = 65536) : capacity_(capacity) {}
@@ -56,7 +53,7 @@ class ChecksumCache {
   bool Lookup(const Key& key, uint32_t* sum);
   void Store(const Key& key, uint32_t sum);
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return lru_.size(); }
   size_t capacity() const { return capacity_; }
   void Clear();
 
@@ -71,14 +68,8 @@ class ChecksumCache {
     }
   };
 
-  using LruList = std::list<Key, iolsim::PoolAllocator<Key>>;
-  using MapEntry = std::pair<uint32_t, LruList::iterator>;
-
   size_t capacity_;
-  LruList lru_;
-  std::unordered_map<Key, MapEntry, KeyHash, std::equal_to<Key>,
-                     iolsim::PoolAllocator<std::pair<const Key, MapEntry>>>
-      map_;
+  iolsim::LruList<Key, uint32_t, KeyHash> lru_;
 };
 
 // The checksum module used by the TCP send path. When a cache is attached,

@@ -182,6 +182,11 @@ class TcpConnection {
   // Ensures the scratch send buffer holds `n` bytes, growing geometrically
   // and without value-initializing storage that is overwritten anyway.
   char* Scratch(size_t n);
+  // The shared tail of the copy sends, once the first `n` scratch bytes
+  // hold the payload: charges the copy, checksums the private copy (its
+  // contents have no system-wide identity, so the checksum cache cannot
+  // apply), charges packets and counts the bytes sent. Returns `n`.
+  size_t SendScratch(size_t n);
 
   NetworkSubsystem* net_;
   bool iolite_sockets_;

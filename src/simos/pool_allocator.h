@@ -1,9 +1,10 @@
 // PoolAllocator: a freelist-backed std allocator for node-based containers.
 //
 // The warm request path performs balanced insert/erase cycles on a few
-// node-based containers — the checksum cache's LRU list + hash map, the GDS
-// policy's priority set, the buffer pool's free list, the memory model's
-// reservation map. With the default allocator every cycle is an operator
+// node-based containers — the list + hash map of every LruList (lru.h: the
+// checksum cache, the metadata cache, the LRU replacement policies and the
+// file cache's per-tenant partitions), the GDS policy's priority set, the
+// buffer pool's free list, the memory model's reservation map. With the default allocator every cycle is an operator
 // new/delete round trip. PoolAllocator gives each container a private free
 // list keyed by block size: deallocated nodes are parked and reused, so
 // steady-state container churn never touches the heap (memory is retained

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/fs/file_cache.h"
 #include "src/fs/file_io.h"
@@ -82,6 +83,22 @@ TEST_F(FsTest, OverlappingWritesLastWins) {
   EXPECT_EQ(std::string(b->data(), 15), "aaaaabbbbbbbbbb");
 }
 
+TEST_F(FsTest, ZeroLengthWriteKeepsOverlay) {
+  FileId f = sys_.fs().CreateFile("a", 100);
+  auto* pool = sys_.runtime().kernel_pool();
+  sys_.fs().WriteToDisk(f, 10, ioltest::AggFrom(pool, "aaaaaaaaaa"));  // [10,20)
+  uint64_t writes = sys_.ctx().stats().disk_writes;
+  // Strictly inside the run, at its start and at its end.
+  for (uint64_t offset : {15, 10, 20}) {
+    sys_.fs().WriteToDisk(f, offset, iolite::Aggregate());
+  }
+  EXPECT_EQ(sys_.ctx().stats().disk_writes, writes + 3);  // Each is still charged.
+  iolite::BufferRef b = sys_.fs().ReadFromDisk(f, 10, 10);
+  EXPECT_EQ(std::string(b->data(), 10), "aaaaaaaaaa");
+  EXPECT_EQ(ioltest::FileContent(sys_.fs(), f, 10, 10), "aaaaaaaaaa");
+  EXPECT_EQ(sys_.fs().SizeOf(f), 100u);
+}
+
 // The synthetic content formula, one SplitMix64 mix per byte: byte `offset`
 // of a file with seed `seed` is the low byte of mix(seed + offset * gamma).
 uint8_t ReferenceSynthByte(uint64_t seed, uint64_t offset) {
@@ -143,6 +160,35 @@ TEST_F(FsTest, MetadataCacheAvoidsRepeatInodeReads) {
   EXPECT_EQ(sys_.ctx().stats().disk_reads, reads_before + 1);
   sys_.fs().TouchMetadata(f);
   EXPECT_EQ(sys_.ctx().stats().disk_reads, reads_before + 1);  // Hit.
+}
+
+TEST_F(FsTest, MetadataCacheEvictsLeastRecentlyUsedAtItsBound) {
+  const int slots = 512;  // SimFileSystem's metadata cache bound.
+  std::vector<FileId> files;
+  for (int i = 0; i <= slots; ++i) {
+    files.push_back(sys_.fs().CreateFile(std::to_string(i), 10));
+  }
+  uint64_t& reads = sys_.ctx().stats().disk_reads;
+  auto misses = [&](FileId f) {
+    uint64_t before = reads;
+    sys_.fs().TouchMetadata(f);
+    return reads - before;
+  };
+  for (int i = 0; i < slots; ++i) {
+    ASSERT_EQ(misses(files[i]), 1u) << i;
+  }
+  for (int i = 0; i < slots; ++i) {
+    ASSERT_EQ(misses(files[i]), 0u) << i;  // All 512 stay resident.
+  }
+  // Recency is now files[0] oldest ... files[511] newest; refresh files[0].
+  EXPECT_EQ(misses(files[0]), 0u);
+  EXPECT_EQ(misses(files[slots]), 1u);  // Evicts files[1], the oldest.
+  EXPECT_EQ(misses(files[0]), 0u);
+  EXPECT_EQ(misses(files[2]), 0u);
+  EXPECT_EQ(misses(files[1]), 1u);  // Evicts files[3].
+  EXPECT_EQ(misses(files[slots]), 0u);
+  EXPECT_EQ(misses(files[3]), 1u);  // Evicts files[4].
+  EXPECT_EQ(misses(files[5]), 0u);
 }
 
 // --- FileIoService / cache behaviour ----------------------------------------

@@ -160,6 +160,30 @@ TEST(ChecksumCacheTest, DistinctSlicesOfSameBufferCacheSeparately) {
   EXPECT_EQ(ctx.stats().checksum_cache_hits, 1u);
 }
 
+TEST(ChecksumCacheTest, AtCapacityEvictsLeastRecentlyUsed) {
+  iolnet::ChecksumCache cache(4);
+  auto key = [](uint64_t id) { return iolnet::ChecksumCache::Key{id, 1, 0, 100}; };
+  for (uint64_t id = 0; id < 4; ++id) {
+    cache.Store(key(id), 100 + static_cast<uint32_t>(id));
+  }
+  uint32_t sum = 0;
+  ASSERT_TRUE(cache.Lookup(key(0), &sum));  // Order now 1, 2, 3, 0.
+  cache.Store(key(4), 104);                 // Evicts 1.
+  cache.Store(key(2), 202);                 // Update in place: 3, 0, 4, 2.
+  EXPECT_EQ(cache.size(), 4u);
+  cache.Store(key(5), 105);  // Evicts 3.
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_FALSE(cache.Lookup(key(1), &sum));
+  EXPECT_FALSE(cache.Lookup(key(3), &sum));
+  for (auto [id, want] : {std::pair<uint64_t, uint32_t>{0, 100}, {4, 104}, {2, 202}, {5, 105}}) {
+    ASSERT_TRUE(cache.Lookup(key(id), &sum)) << id;
+    EXPECT_EQ(sum, want) << id;
+  }
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Lookup(key(0), &sum));
+}
+
 TEST(MbufTest, InlineAndExternalStorage) {
   SimContext ctx;
   BufferPool pool(&ctx, "p", iolsim::kKernelDomain);
